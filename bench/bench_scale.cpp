@@ -17,11 +17,15 @@
 // the tree's batched SoA shard sweeps and O(shards) summary traffic are
 // what let the same scenario scale two orders of magnitude further.
 //
+// A third table (full run only) measures the tree's own thread scaling:
+// the 100k-node tree cell at 1, 2 and 4 step threads, with the same
+// journal + final-state determinism audit as the first table.
+//
 // Usage:
 //   bench_scale [--smoke]
 //     --smoke   small sweep (4 nodes, threads 1-2, short run) plus the
 //               topology gate (tree >= flat at 10k nodes, tree completes
-//               100k nodes) for CI
+//               100k nodes) for CI; skips the tree thread table
 #include "bench/common.h"
 
 #include <chrono>
@@ -83,6 +87,22 @@ std::uint64_t fingerprint_journal(const sim::EventLog& log) {
   return h;
 }
 
+/// Wall time plus the fingerprint of a finished run's journal and final
+/// core state.
+ScaleResult audit(double wall_s, const sim::EventLog& journal,
+                  cluster::Cluster& cluster) {
+  ScaleResult out;
+  out.wall_s = wall_s;
+  out.journal_events = journal.size();
+  out.fingerprint = fingerprint_journal(journal);
+  for (const auto& addr : cluster.all_procs()) {
+    auto& core = cluster.core(addr);
+    fnv_d(out.fingerprint, core.frequency_hz());
+    fnv_d(out.fingerprint, core.instructions_retired());
+  }
+  return out;
+}
+
 ScaleResult run_cell(std::size_t nodes, int threads, double duration_s) {
   sim::Simulation sim;
   sim::Rng rng(17);
@@ -107,26 +127,19 @@ ScaleResult run_cell(std::size_t nodes, int threads, double duration_s) {
   sim.run_for(duration_s);
   const auto stop = std::chrono::steady_clock::now();
 
-  ScaleResult out;
-  out.wall_s = std::chrono::duration<double>(stop - start).count();
-  out.journal_events = journal.size();
-  out.fingerprint = fingerprint_journal(journal);
-  for (const auto& addr : cluster.all_procs()) {
-    auto& core = cluster.core(addr);
-    fnv_d(out.fingerprint, core.frequency_hz());
-    fnv_d(out.fingerprint, core.instructions_retired());
-  }
-  return out;
+  return audit(std::chrono::duration<double>(stop - start).count(), journal,
+               cluster);
 }
 
 // ---- Topology sweep: flat coordinator vs hierarchical tree ---------------
 
 /// One scale cell: uniform load, a mid-run budget drop, and either the
-/// flat ClusterDaemon or the TreeDaemon.  Single-CPU nodes keep the core
-/// count equal to the node count so "nodes" is the honest scale axis, and
-/// event-driven advance gives both daemons their best stepping mode.
-/// Returns nodes * simulated seconds per wall second.
-double run_topology_cell(std::size_t nodes, bool tree, double duration_s) {
+/// flat ClusterDaemon or the TreeDaemon (journalled, with `threads` step
+/// threads).  Single-CPU nodes keep the core count equal to the node count
+/// so "nodes" is the honest scale axis, and event-driven advance gives
+/// both daemons their best stepping mode.
+ScaleResult run_topology_cell(std::size_t nodes, bool tree, double duration_s,
+                              int threads = 1) {
   sim::Simulation sim;
   sim::Rng rng(17);
   mach::MachineConfig machine = mach::p630();
@@ -142,11 +155,16 @@ double run_topology_cell(std::size_t nodes, bool tree, double duration_s) {
   power::PowerBudget budget(peak);
   sim.schedule_at(duration_s * 0.5, [&] { budget.set_limit_w(peak * 0.45); });
 
+  // The tree journals O(1) events per round, so its audit costs nothing
+  // measurable; the flat daemon stays unjournalled as before.
+  sim::EventLog journal;
   std::unique_ptr<core::ClusterDaemon> flat_daemon;
   std::unique_ptr<core::TreeDaemon> tree_daemon;
   if (tree) {
     core::TreeDaemonConfig cfg;
     cfg.advance_mode = core::AdvanceMode::kEvent;
+    cfg.step_threads = threads;
+    cfg.journal = &journal;
     tree_daemon = std::make_unique<core::TreeDaemon>(
         sim, cluster, machine.freq_table, budget, cfg);
   } else {
@@ -159,7 +177,12 @@ double run_topology_cell(std::size_t nodes, bool tree, double duration_s) {
   const auto start = std::chrono::steady_clock::now();
   sim.run_for(duration_s);
   const auto stop = std::chrono::steady_clock::now();
-  const double wall_s = std::chrono::duration<double>(stop - start).count();
+  return audit(std::chrono::duration<double>(stop - start).count(), journal,
+               cluster);
+}
+
+/// nodes * simulated seconds per wall second.
+double node_rate(std::size_t nodes, double duration_s, double wall_s) {
   return static_cast<double>(nodes) * duration_s / wall_s;
 }
 
@@ -186,12 +209,15 @@ int topology_sweep(bool smoke) {
     const std::size_t n = tree_nodes[i];
     for (std::size_t f : flat_nodes) {
       if (f == n) {
-        flat_rate[i] = run_topology_cell(n, /*tree=*/false, duration_s);
+        flat_rate[i] = node_rate(
+            n, duration_s,
+            run_topology_cell(n, /*tree=*/false, duration_s).wall_s);
         table.add_row({sim::TextTable::num(n, 0), "flat",
                        sim::TextTable::num(flat_rate[i], 0)});
       }
     }
-    tree_rate[i] = run_topology_cell(n, /*tree=*/true, duration_s);
+    tree_rate[i] = node_rate(
+        n, duration_s, run_topology_cell(n, /*tree=*/true, duration_s).wall_s);
     table.add_row({sim::TextTable::num(n, 0), "tree",
                    sim::TextTable::num(tree_rate[i], 0)});
   }
@@ -220,6 +246,50 @@ int topology_sweep(bool smoke) {
     }
   }
   return failures;
+}
+
+/// The tree's thread scaling: the 100k-node cell at 1, 2 and 4 step
+/// threads.  Every thread count must reproduce the serial journal and
+/// final core state.  Returns the number of audit failures.
+int tree_thread_sweep() {
+  constexpr std::size_t kNodes = 100000;
+  const double duration_s = 1.0;
+  sim::TextTable table("Tree thread scaling (" +
+                       sim::TextTable::num(kNodes, 0) + " single-CPU nodes, " +
+                       sim::TextTable::num(duration_s, 1) +
+                       " s simulated, event advance)");
+  table.set_header({"threads", "wall ms", "speedup", "nodes*sim-s / wall-s",
+                    "journal", "deterministic"});
+  std::uint64_t reference = 0;
+  double serial_wall = 0.0;
+  bool all_match = true;
+  for (int threads : {1, 2, 4}) {
+    const ScaleResult r =
+        run_topology_cell(kNodes, /*tree=*/true, duration_s, threads);
+    if (threads == 1) {
+      reference = r.fingerprint;
+      serial_wall = r.wall_s;
+    }
+    const bool match = r.fingerprint == reference;
+    all_match = all_match && match;
+    table.add_row({sim::TextTable::num(threads, 0),
+                   sim::TextTable::num(r.wall_s * 1e3, 1),
+                   sim::TextTable::num(serial_wall / r.wall_s, 2),
+                   sim::TextTable::num(node_rate(kNodes, duration_s, r.wall_s),
+                                       0),
+                   sim::TextTable::num(r.journal_events, 0),
+                   match ? "yes" : "NO"});
+  }
+  table.print();
+  std::printf(
+      "Expected: every thread count reproduces the 1-thread journal and\n"
+      "final core state; the speedup is bounded by the serial share of a\n"
+      "round (sends, journal, grant applies, event queue).\n");
+  if (!all_match) {
+    std::fprintf(stderr,
+                 "bench_scale: FAILED — step threads changed the tree run\n");
+  }
+  return all_match ? 0 : 1;
 }
 
 }  // namespace
@@ -278,5 +348,6 @@ int main(int argc, char** argv) {
                  "bench_scale: FAILED — thread count changed the result\n");
   }
   failures += topology_sweep(smoke);
+  if (!smoke) failures += tree_thread_sweep();
   return failures == 0 ? 0 : 1;
 }

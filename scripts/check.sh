@@ -170,6 +170,15 @@ grep -q '<svg' "${smoke_dir}/monitor.html"
 # complete a 100k-node cell (nodes*sim-s per wall-s is the metric).
 "${build_dir}/bench/bench_scale" --smoke
 
+# Benchmark self-test: perfbench builds its own copy of the simulator
+# from src/ and checks that stepping by T, one run_for and the timing
+# decorators all decide the same on every workload.  Built into a
+# throwaway CARGO_TARGET_DIR so the check never reuses a stale tree.
+perfbench_dir="$(mktemp -d)"
+trap 'rm -rf "${perfbench_dir}"' EXIT
+CARGO_TARGET_DIR="${perfbench_dir}" python3 "${repo_root}/perfbench/run.py" \
+  --self-test
+
 # Sanitizer gate: rebuild with ASan + UBSan and run the suites that
 # exercise the engine's fault paths, the chaos harness, and the JSONL
 # reader fuzzers — the code most likely to hide memory or UB mistakes.
@@ -190,7 +199,8 @@ FVSST_CHAOS_ITERATIONS=8 ctest --test-dir "${asan_dir}" --output-on-failure \
 # Thread-sanitizer gate: rebuild with TSan and run the parallel-stepper
 # suite, the transport suite (its determinism test drives the reliable
 # session through the 4-thread stepper), the tree-daemon suite (its
-# invariance matrix runs the batched shard pre-sync on up to 8 threads),
+# invariance matrix runs the shard sweeps, leaf samplers, estimators and
+# pass 1 on up to 8 threads),
 # and the scale-sweep smoke — the only code that shares simulation state
 # across threads, so the only code TSan can vet.
 tsan_dir="${build_dir}-tsan"

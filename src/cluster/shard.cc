@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 
 namespace fvsst::cluster {
 
@@ -104,16 +103,6 @@ double Shard::cached_power_w() const {
     total += core_table_[i]->power(frequency_hz_[i]);
   }
   return total;
-}
-
-void Shard::enqueue(std::function<void()> action) {
-  queue_.push_back(std::move(action));
-}
-
-void Shard::drain() {
-  // Actions may enqueue follow-ups; drain by index so growth is safe.
-  for (std::size_t i = 0; i < queue_.size(); ++i) queue_[i]();
-  queue_.clear();
 }
 
 std::vector<Shard> make_shards(Cluster& cluster, const ShardMap& map) {

@@ -17,20 +17,16 @@
 //              (cpu::Core::advance_batch) that skips already-synced cores
 //              without touching the cold Core objects at all.
 //
-// Each Shard also carries its own deferred-action queue: the hierarchical
-// daemon routes per-shard work (grant applies, interval closes) through
-// the owning shard's queue and drains them in shard order on the
-// simulation thread, so workers never contend on a global queue and the
-// ordered effects stay byte-identical to a serial run.
-//
 // Partitioning never changes simulation results: the batched advance
 // touches only per-core state, and every ordered effect is committed
 // serially in node order — the same contract StepPool::run documents.
+// The hierarchical daemon (core/tree_daemon.h) runs each slab's sweep and
+// its leaf's per-shard compute as one pool task, and keeps every ordered
+// effect (sends, journal events, grant applies) on the simulation thread.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -81,11 +77,10 @@ class ShardMap {
   std::size_t total_cpus_ = 0;
 };
 
-/// One slab's cores in structure-of-arrays form, plus the shard-local
-/// deferred-action queue.  The hot arrays (synced-until, next-interesting,
-/// frequency) live contiguously so a batch sweep reads them linearly; the
-/// cold Core objects are only dereferenced for cores that actually need
-/// advancing.
+/// One slab's cores in structure-of-arrays form.  The hot arrays
+/// (synced-until, next-interesting, frequency) live contiguously so a
+/// batch sweep reads them linearly; the cold Core objects are only
+/// dereferenced for cores that actually need advancing.
 class Shard {
  public:
   Shard(Cluster& cluster, ShardSpan span);
@@ -121,17 +116,6 @@ class Shard {
   std::uint64_t cores_advanced() const { return cores_advanced_; }
   std::uint64_t cores_skipped() const { return cores_skipped_; }
 
-  // --- Shard-local deferred-action queue --------------------------------
-  // FIFO of actions bound for this shard (grant applies, interval closes).
-  // Producers enqueue from the simulation thread; the daemon drains shards
-  // in shard order, so effects commit in the same order a serial run
-  // would.  Never touched by pool workers.
-
-  void enqueue(std::function<void()> action);
-  /// Runs and removes every queued action in FIFO order.
-  void drain();
-  std::size_t queue_depth() const { return queue_.size(); }
-
  private:
   ShardSpan span_;
   std::vector<cpu::Core*> cores_;          // cold: dereferenced on demand
@@ -146,7 +130,6 @@ class Shard {
   std::uint64_t sweeps_ = 0;
   std::uint64_t cores_advanced_ = 0;
   std::uint64_t cores_skipped_ = 0;
-  std::vector<std::function<void()>> queue_;
 };
 
 /// Builds one Shard per ShardMap slab.

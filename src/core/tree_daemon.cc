@@ -264,32 +264,60 @@ std::uint64_t TreeDaemon::cores_advanced() const {
   return n;
 }
 
+double TreeDaemon::last_cpu_power_w() const {
+  MicroWatts total = 0;
+  for (const Leaf& leaf : leaves_) total += leaf.power_uw;
+  // Divide, not multiply by 1e-6: whole-watt tables (the P630's) make the
+  // total an exact multiple of 1e6, and the division then returns exactly
+  // the double sum Cluster::cpu_power_w() computes.
+  return static_cast<double>(total) / 1e6;
+}
+
 // --------------------------------------------------------------------------
 // Time advance
 // --------------------------------------------------------------------------
 
+template <typename Fn>
+void TreeDaemon::run_leaves(const Fn& fn) {
+  // Pool tasks must not throw: each leaf keeps its own exception, and the
+  // first one in leaf order is rethrown on the simulation thread — the
+  // error the serial loop would have raised.
+  step_pool_->run(leaves_.size(), [this, &fn](std::size_t s) {
+    try {
+      fn(leaves_[s]);
+    } catch (...) {
+      leaves_[s].error = std::current_exception();
+    }
+  });
+  for (Leaf& leaf : leaves_) {
+    if (leaf.error) std::rethrow_exception(std::exchange(leaf.error, nullptr));
+  }
+}
+
 void TreeDaemon::presync_shards(double now) {
-  // Batched SoA sweep, one contiguous slab per pool task.  Unlike the flat
-  // daemon, crashed nodes keep advancing: a node crash downs the *agent*
-  // (no summaries, no applies), not the machine — and the unconditional
-  // sweep is what keeps tick and event advance bit-identical under faults.
-  step_pool_->run(shards_.size(),
-                  [this, now](std::size_t s) { shards_[s].advance_to(now); });
+  // Batched SoA sweep plus the leaf's counter collect, one contiguous slab
+  // per pool task: each core is read back while the sweep's cache lines
+  // are still warm, and a sampler only ever touches its own slab.  Unlike
+  // the flat daemon, crashed nodes keep advancing: a node crash downs the
+  // *agent* (no summaries, no applies), not the machine — and the
+  // unconditional sweep is what keeps tick and event advance bit-identical
+  // under faults.
+  run_leaves([this, now](Leaf& leaf) {
+    shards_[leaf.id].advance_to(now);
+    leaf.sampler->collect();
+  });
 }
 
 void TreeDaemon::on_tick() {
   // Tick mode: per-t collection only.  The summary instant runs on its own
   // lattice event (schedule_summary_wake) in both modes; a tick coinciding
   // with it contributes a zero-length slice whichever runs first.
-  const double now = sim_.now();
-  presync_shards(now);
-  for (Leaf& leaf : leaves_) leaf.sampler->collect();
+  presync_shards(sim_.now());
 }
 
 void TreeDaemon::on_summary_wake() {
   const double now = sim_.now();
   presync_shards(now);  // event mode: grid subdivision replays skipped ticks
-  for (Leaf& leaf : leaves_) leaf.sampler->collect();
   summary_instant(now);
   next_summary_k_ +=
       static_cast<std::uint64_t>(config_.schedule_every_n_samples);
@@ -308,11 +336,12 @@ void TreeDaemon::summary_instant(double now) {
   last_sample_t_ = now;
   agg_flushed_ = 0;
 
-  // Close every leaf's interval and launch its summary (deliveries land at
-  // now + L, in leaf order).  The aggregate flushes are scheduled *after*
-  // the send loop, so at now + L the FIFO queue runs every delivery before
-  // any flush.
-  for (Leaf& leaf : leaves_) leaf_close_interval(leaf, now);
+  // Close every leaf's interval on the pool (per-leaf state only), then
+  // launch the summaries serially in leaf order (deliveries land at
+  // now + L).  The aggregate flushes are scheduled *after* the send loop,
+  // so at now + L the FIFO queue runs every delivery before any flush.
+  run_leaves([this, now](Leaf& leaf) { leaf_close_interval(leaf, now); });
+  for (Leaf& leaf : leaves_) leaf_send_summary(leaf, now);
   for (std::size_t a = 0; a < agg_children_.size(); ++a) {
     sim_.schedule_at(now + config_.link_latency_s,
                      [this, a] { agg_flush(a); });
@@ -322,9 +351,27 @@ void TreeDaemon::summary_instant(double now) {
 }
 
 void TreeDaemon::leaf_close_interval(Leaf& leaf, double now) {
-  if (leaf_down(leaf.id, now)) return;  // coordinator down: no close, no send
-
+  // Runs on a pool worker: reads the leaf's own slab and writes only the
+  // leaf.  Every ordered effect (counters, journal, sends) is left to
+  // leaf_send_summary on the simulation thread.
   cluster::Shard& shard = shards_[leaf.id];
+
+  // The monitor's power input: the slab's CPU power, after failsafe_check
+  // so fail-safe drops count.  Integer microwatts sum exactly, so the
+  // total cannot depend on how the cluster is sharded.
+  if (config_.monitor) {
+    MicroWatts power_uw = 0;
+    for (std::size_t i = 0; i < shard.core_count(); ++i) {
+      const auto idx = table_.index_of(shard.core(i).frequency_hz());
+      if (!idx) throw std::out_of_range("TreeDaemon: unknown frequency");
+      power_uw += pw_uw_[*idx];
+    }
+    leaf.power_uw = power_uw;
+  }
+
+  leaf.closed = !leaf_down(leaf.id, now);
+  if (!leaf.closed) return;  // coordinator down: no close, no send
+
   leaf.sampler->end_interval(now, leaf.interval);
   leaf.estimator->update(leaf.interval, leaf.views);
 
@@ -333,7 +380,8 @@ void TreeDaemon::leaf_close_interval(Leaf& leaf, double now) {
   const ScheduleResult result = scheduler_->schedule(
       leaf.views, std::numeric_limits<double>::infinity());
 
-  ShardSummary summary;
+  ShardSummary& summary = leaf.summary;
+  summary = ShardSummary{};
   summary.round = round_seq_;
   summary.desired.assign(table_.size(), 0);
   for (std::size_t i = 0; i < leaf.views.size(); ++i) {
@@ -345,7 +393,11 @@ void TreeDaemon::leaf_close_interval(Leaf& leaf, double now) {
     summary.idle += leaf.views[i].idle ? 1 : 0;
     summary.desired_power_uw += pw_uw_[idx];
   }
+}
 
+void TreeDaemon::leaf_send_summary(Leaf& leaf, double now) {
+  if (!leaf.closed) return;
+  const ShardSummary& summary = leaf.summary;
   ++summaries_sent_;
   summary_bytes_sent_ += summary.wire_bytes();
   if (config_.journal && config_.journal_topology) {
@@ -612,30 +664,25 @@ void TreeDaemon::leaf_apply(std::size_t leaf_id, const Grant& grant,
     return;
   }
 
-  // Commit through the shard's deferred queue: applies stay an ordered,
-  // shard-local serial effect even though the sweeps run on the pool.
   cluster::Shard& shard = shards_[leaf_id];
-  shard.enqueue([this, &leaf, &shard, grant, now] {
-    const auto cap = static_cast<std::uint16_t>(grant.cap);
-    std::uint64_t left = grant.quota;
-    for (std::size_t i = 0; i < shard.core_count(); ++i) {
-      if (node_crashed(shard.node_of_core(i), now)) continue;  // agent down
-      const std::uint16_t d = leaf.desired[i];
-      std::uint16_t g = d;
-      if (d > cap) {
-        if (left > 0) {
-          --left;
-          g = static_cast<std::uint16_t>(cap + 1);
-        } else {
-          g = cap;
-        }
+  const auto cap = static_cast<std::uint16_t>(grant.cap);
+  std::uint64_t left = grant.quota;
+  for (std::size_t i = 0; i < shard.core_count(); ++i) {
+    if (node_crashed(shard.node_of_core(i), now)) continue;  // agent down
+    const std::uint16_t d = leaf.desired[i];
+    std::uint16_t g = d;
+    if (d > cap) {
+      if (left > 0) {
+        --left;
+        g = static_cast<std::uint16_t>(cap + 1);
+      } else {
+        g = cap;
       }
-      const double hz = table_[g].hz;
-      cpu::Core& core = shard.core(i);
-      if (core.frequency_hz() != hz) core.set_frequency(hz);
     }
-  });
-  shard.drain();
+    const double hz = table_[g].hz;
+    cpu::Core& core = shard.core(i);
+    if (core.frequency_hz() != hz) core.set_frequency(hz);
+  }
 
   leaf.last_grant_t = now;
   if (leaf.failsafe) {
@@ -776,7 +823,7 @@ void TreeDaemon::monitor_sample(double now) {
   sim::monitor::Monitor& mon = *config_.monitor;
   mon.observe(mon_lag_, now, now - last_apply_t_);
   mon.observe(mon_over_budget_, now,
-              cluster_.cpu_power_w() - budget_.effective_limit_w());
+              last_cpu_power_w() - budget_.effective_limit_w());
   mon.observe(mon_since_round_, now, now - mon_last_round_t_);
   mon.observe(mon_failsafe_frac_, now,
               static_cast<double>(failsafe_shard_count()) /

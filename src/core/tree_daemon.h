@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <vector>
 
@@ -71,7 +72,8 @@ struct TreeDaemonConfig {
   /// on the shard count (the tree determinism guarantee).
   double link_latency_s = 100e-6;
   AdvanceMode advance_mode = AdvanceMode::kTick;
-  /// Worker threads for the batched shard pre-sync (1 = serial).
+  /// Worker threads for the per-shard leaf work — slab sweep, counter
+  /// collection and interval close (1 = serial).
   int step_threads = 1;
   IdleSignal idle_signal = IdleSignal::kOsSignal;
   double halted_idle_threshold = 0.90;
@@ -117,6 +119,11 @@ class TreeDaemon {
   std::size_t summary_bytes_sent() const { return summary_bytes_sent_; }
   std::size_t failsafe_shard_count() const;
   std::uint64_t cores_advanced() const;
+  /// Cluster CPU power at the last summary instant, summed from the
+  /// per-leaf integer-microwatt totals — the monitor's power input, so
+  /// only tracked while a monitor is attached (0 otherwise, and before
+  /// the first summary instant).
+  double last_cpu_power_w() const;
   const cluster::Shard& shard(std::size_t s) const { return shards_[s]; }
   sim::MetricRegistry& telemetry() { return telemetry_; }
 
@@ -132,6 +139,11 @@ class TreeDaemon {
     std::vector<IntervalSample> interval;  ///< Reused end_interval buffer.
     double last_grant_t = 0.0;
     bool failsafe = false;
+    // Written by leaf_close_interval on a pool worker; read serially.
+    bool closed = false;        ///< This instant closed an interval.
+    ShardSummary summary;       ///< The summary the close built.
+    MicroWatts power_uw = 0;    ///< Slab CPU power at the instant.
+    std::exception_ptr error;   ///< Exception the pool task caught.
   };
 
   struct RootState {
@@ -164,9 +176,14 @@ class TreeDaemon {
   void on_tick();                    // tick mode: per-t collect
   void schedule_summary_wake();      // next summary on the tick lattice
   void on_summary_wake();            // the summary instant (both modes)
-  void presync_shards(double now);
+  void presync_shards(double now);   // pool: sweep + collect per shard
   void summary_instant(double now);  // t_k: close intervals, send up
-  void leaf_close_interval(Leaf& leaf, double now);
+  void leaf_close_interval(Leaf& leaf, double now);  // pool: pure compute
+  void leaf_send_summary(Leaf& leaf, double now);    // serial, leaf order
+  /// Runs fn(leaf) for every leaf on the step pool; rethrows the first
+  /// exception in leaf order once the pool has joined.
+  template <typename Fn>
+  void run_leaves(const Fn& fn);
   void agg_flush(std::size_t agg);   // t_k + L: merge, forward up
   void root_flush();                 // t_k + 2L: decide, fan down
   void root_decide(RootState& root, CycleTrigger trigger);

@@ -891,6 +891,12 @@ void write_chrome_trace(std::ostream& out, const EventLog& log) {
       case EventType::kCycleStart:
       case EventType::kDowngrade:
         break;  // folded into the actuation slice / decision counters
+      case EventType::kMessageRetransmit:
+      case EventType::kMessageDuplicate:
+      case EventType::kMessageExpired:
+      case EventType::kMessageCorrupt:
+      case EventType::kAggregation:
+        break;  // transport and tree-tier detail: no trace track
       case EventType::kDecision: {
         const std::string name = "cpu" + std::to_string(e.cpu) + " freq_mhz";
         w.counter(name, ts,

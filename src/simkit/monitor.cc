@@ -27,12 +27,11 @@ std::int64_t SlidingWindow::bucket_index(double t) const {
   return static_cast<std::int64_t>(std::floor(t / bucket_s_));
 }
 
-void SlidingWindow::observe(double t, double value) {
+void SlidingWindow::enter_bucket(double t, double value) {
   const std::int64_t idx = bucket_index(t);
-  Bucket& b = buckets_[static_cast<std::size_t>(
-      ((idx % static_cast<std::int64_t>(buckets_.size())) +
-       static_cast<std::int64_t>(buckets_.size())) %
-      static_cast<std::int64_t>(buckets_.size()))];
+  const auto n = static_cast<std::int64_t>(buckets_.size());
+  cached_slot_ = static_cast<std::size_t>(((idx % n) + n) % n);
+  Bucket& b = buckets_[cached_slot_];
   if (b.index != idx) {
     b.index = idx;
     b.count = 0;
@@ -40,11 +39,32 @@ void SlidingWindow::observe(double t, double value) {
     b.min = value;
     b.max = value;
   }
+  // Cache the bucket's time range, shrunk until bucket_index agrees at
+  // both ends.  bucket_index is monotone in t, so agreement at the ends
+  // holds for every t between them; a range that does not settle within
+  // a few ulps collapses to t alone.  Only this slot is written until the
+  // range is left, so its index stays idx meanwhile.
+  double lo = static_cast<double>(idx) * bucket_s_;
+  if (lo > t || bucket_index(lo) != idx) lo = t;
+  double hi = static_cast<double>(idx + 1) * bucket_s_;
+  for (int step = 0; step < 4 && bucket_index(std::nextafter(hi, lo)) != idx;
+       ++step) {
+    hi = std::nextafter(hi, lo);
+  }
+  if (hi <= t || bucket_index(std::nextafter(hi, lo)) != idx) {
+    hi = std::nextafter(t, std::numeric_limits<double>::infinity());
+  }
+  cached_lo_ = lo;
+  cached_hi_ = hi;
+}
+
+void SlidingWindow::observe(double t, double value) {
+  if (!(t >= cached_lo_ && t < cached_hi_)) enter_bucket(t, value);
+  Bucket& b = buckets_[cached_slot_];
   ++b.count;
   b.sum += value;
   b.min = std::min(b.min, value);
   b.max = std::max(b.max, value);
-  newest_ = std::max(newest_, idx);
 }
 
 template <typename Fold>

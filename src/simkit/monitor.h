@@ -82,13 +82,20 @@ class SlidingWindow {
   };
 
   std::int64_t bucket_index(double t) const;
+  /// Points the cache at t's bucket, resetting the slot (to `value`) when
+  /// it still holds an older bucket.
+  void enter_bucket(double t, double value);
   template <typename Fold>
   void fold(double t, Fold&& f) const;
 
   double window_s_;
   double bucket_s_;
   std::vector<Bucket> buckets_;
-  std::int64_t newest_ = -1;  ///< Largest absolute bucket index observed.
+  // The last observed bucket: every t in [cached_lo_, cached_hi_) falls
+  // in the bucket held by slot cached_slot_, so a repeat skips the divide.
+  double cached_lo_ = 0.0;
+  double cached_hi_ = 0.0;  ///< Empty range until the first observation.
+  std::size_t cached_slot_ = 0;
 };
 
 /// Exponential moving average with a time constant: each observation pulls

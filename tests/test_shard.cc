@@ -1,6 +1,6 @@
 // test_shard - The locality-aware shard partition and the SoA batched
-// advance: slabs are contiguous and balanced, the sweep is equivalent to
-// per-core advancing, and the shard-local queue commits in FIFO order.
+// advance: slabs are contiguous and balanced, and the sweep is equivalent
+// to per-core advancing.
 #include "cluster/shard.h"
 
 #include <gtest/gtest.h>
@@ -187,27 +187,6 @@ TEST(Shard, HotArraysTrackFrequencyAndPower) {
   shard.core(0).set_frequency(low);
   shard.advance_to(0.2);
   EXPECT_EQ(shard.frequency_hz()[0], low);
-}
-
-TEST(Shard, QueueDrainsFifo) {
-  sim::Simulation sim;
-  sim::Rng rng(5);
-  cluster::Cluster c = make_cluster(sim, rng, 2);
-  const cluster::ShardMap map(c, 1);
-  std::vector<cluster::Shard> shards = cluster::make_shards(c, map);
-  cluster::Shard& shard = shards[0];
-
-  std::vector<int> order;
-  shard.enqueue([&] { order.push_back(1); });
-  shard.enqueue([&] { order.push_back(2); });
-  EXPECT_EQ(shard.queue_depth(), 2u);
-  shard.drain();
-  EXPECT_EQ(shard.queue_depth(), 0u);
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
-  shard.drain();  // idempotent on empty
-  EXPECT_EQ(order.size(), 2u);
 }
 
 }  // namespace

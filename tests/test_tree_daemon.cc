@@ -1,12 +1,14 @@
 // test_tree_daemon - The hierarchical coordinator tree: the headline
 // guarantee that shard count, thread count and advance mode are invisible
-// (bit-identical journals and final core state), under clean runs and
-// under chaos; plus failover, fail-safe and validation behavior.
+// (bit-identical journals and final core state), under clean runs, under
+// chaos and with the monitor attached; plus failover, fail-safe,
+// validation behavior and the exactness of the monitor's power total.
 #include "core/tree_daemon.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +18,8 @@
 #include "power/budget.h"
 #include "simkit/event_log.h"
 #include "simkit/fault_plan.h"
+#include "simkit/monitor.h"
+#include "simkit/rng.h"
 #include "workload/synthetic.h"
 
 namespace fvsst {
@@ -27,6 +31,8 @@ struct Scenario {
   double failsafe_factor = 0.0;
   cluster::TransportMode transport = cluster::TransportMode::kDatagram;
   std::vector<sim::FaultSpec> faults = {};
+  /// Attach a monitor with the default rule pack, journalling its alerts.
+  bool monitored = false;
 };
 
 struct RunShape {
@@ -65,7 +71,17 @@ RunResult run_tree(const Scenario& sc, const RunShape& shape,
   for (const sim::FaultSpec& f : sc.faults) plan.add(f);
 
   sim::EventLog journal;
+  std::unique_ptr<sim::monitor::Monitor> monitor;
+  if (sc.monitored) {
+    sim::monitor::Monitor::Options mopts;
+    mopts.journal = &journal;
+    monitor = std::make_unique<sim::monitor::Monitor>(
+        sim::monitor::RuleSet::parse_string(
+            sim::monitor::default_rule_pack()),
+        mopts);
+  }
   core::TreeDaemonConfig cfg;
+  cfg.monitor = monitor.get();
   cfg.shards = shape.shards;
   cfg.step_threads = shape.threads;
   cfg.advance_mode = shape.mode;
@@ -113,6 +129,12 @@ TEST_P(TreeInvariance, ShardThreadAndModeAreInvisible) {
       run_tree(sc, {1, 1, core::AdvanceMode::kTick});
   ASSERT_FALSE(ref.digest.empty());
   ASSERT_GT(ref.rounds, 0u);
+  // A monitored scenario must raise budget_overshoot, or the power total
+  // behind its value would not reach the digest.
+  if (sc.monitored) {
+    ASSERT_NE(ref.digest.find("\"rule\":\"budget_overshoot\""),
+              std::string::npos);
+  }
   const RunShape shapes[] = {
       {1, 1, core::AdvanceMode::kEvent},
       {4, 1, core::AdvanceMode::kTick},
@@ -148,7 +170,16 @@ INSTANTIATE_TEST_SUITE_P(
                  true,
                  0.0,
                  cluster::TransportMode::kDatagram,
-                 {{sim::FaultKind::kPartition, 0.55, 1.75, 0, 0.0}}}),
+                 {{sim::FaultKind::kPartition, 0.55, 1.75, 0, 0.0}}},
+        // The shards sit at their fail-safe frequency through the budget
+        // step, so budget_overshoot fires with a value computed from the
+        // per-leaf power totals.
+        Scenario{"monitored_root_crash_failsafe",
+                 false,
+                 2.0,
+                 cluster::TransportMode::kDatagram,
+                 {{sim::FaultKind::kCoordinatorCrash, 0.55, 1.45, 0, 0.0}},
+                 true}),
     [](const ::testing::TestParamInfo<Scenario>& info) {
       return std::string(info.param.name);
     });
@@ -273,6 +304,45 @@ TEST(TreeDaemon, CapsClusterUnderBudgetWithinOneRound) {
     power += machine.freq_table.power(cluster.core(addr).frequency_hz());
   }
   EXPECT_LE(power, budget.effective_limit_w() + 1e-6);
+}
+
+// --- Monitor power input ---------------------------------------------------
+
+TEST(TreeDaemon, LeafPowerTotalsEqualClusterPowerExactly) {
+  // The monitor's power input is summed per leaf in integer microwatts.
+  // P630 watts are whole numbers, so the node-order double sum of
+  // Cluster::cpu_power_w() is exact too and the two must agree bit for
+  // bit, whatever frequencies the cores run at.
+  sim::Simulation sim;
+  sim::Rng rng(31);
+  const mach::MachineConfig machine = mach::p630();
+  const mach::FrequencyTable& table = machine.freq_table;
+  cluster::Cluster cluster =
+      cluster::Cluster::homogeneous(sim, machine, 12, rng);
+  power::PowerBudget budget(static_cast<double>(cluster.cpu_count()) * 140.0);
+  sim::monitor::Monitor monitor(sim::monitor::RuleSet::parse_string(
+      sim::monitor::default_rule_pack()));
+  core::TreeDaemonConfig cfg;
+  cfg.shards = 5;
+  cfg.step_threads = 2;
+  cfg.monitor = &monitor;
+  core::TreeDaemon daemon(sim, cluster, table, budget, cfg);
+
+  const double period = cfg.t_sample_s * cfg.schedule_every_n_samples;
+  sim::Rng pick(77);
+  for (int k = 1; k <= 20; ++k) {
+    // Random operating points after round k-1's grants have applied, read
+    // back at round k's summary instant (before its grants land).
+    sim.run_until((k - 0.5) * period);
+    for (const auto& addr : cluster.all_procs()) {
+      const auto b = static_cast<std::size_t>(pick.uniform_int(
+          0, static_cast<std::int64_t>(table.size()) - 1));
+      cluster.core(addr).set_frequency(table[b].hz);
+    }
+    sim.run_until(k * period + 0.5 * cfg.link_latency_s);
+    EXPECT_EQ(daemon.last_cpu_power_w(), cluster.cpu_power_w())
+        << "round " << k;
+  }
 }
 
 }  // namespace
