@@ -284,7 +284,7 @@ int tree_thread_sweep() {
   std::printf(
       "Expected: every thread count reproduces the 1-thread journal and\n"
       "final core state; the speedup is bounded by the serial share of a\n"
-      "round (sends, journal, grant applies, event queue).\n");
+      "round (sends, journal, protocol checks, event queue).\n");
   if (!all_match) {
     std::fprintf(stderr,
                  "bench_scale: FAILED — step threads changed the tree run\n");

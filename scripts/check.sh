@@ -199,8 +199,8 @@ FVSST_CHAOS_ITERATIONS=8 ctest --test-dir "${asan_dir}" --output-on-failure \
 # Thread-sanitizer gate: rebuild with TSan and run the parallel-stepper
 # suite, the transport suite (its determinism test drives the reliable
 # session through the 4-thread stepper), the tree-daemon suite (its
-# invariance matrix runs the shard sweeps, leaf samplers, estimators and
-# pass 1 on up to 8 threads),
+# invariance matrix runs the shard sweeps, leaf samplers, estimators,
+# pass 1 and grant applies on up to 8 threads),
 # and the scale-sweep smoke — the only code that shares simulation state
 # across threads, so the only code TSan can vet.
 tsan_dir="${build_dir}-tsan"

@@ -68,7 +68,10 @@ Shard::Shard(Cluster& cluster, ShardSpan span) : span_(span) {
   const std::size_t n = cores_.size();
   synced_until_.assign(n, -std::numeric_limits<double>::infinity());
   next_interesting_.assign(n, std::numeric_limits<double>::infinity());
-  frequency_hz_.assign(n, 0.0);
+  frequency_hz_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    frequency_hz_[i] = cores_[i]->frequency_hz();
+  }
   next_interesting_min_ = std::numeric_limits<double>::infinity();
 }
 
@@ -99,7 +102,6 @@ void Shard::advance_to(double t, const unsigned char* node_skip) {
 double Shard::cached_power_w() const {
   double total = 0.0;
   for (std::size_t i = 0; i < cores_.size(); ++i) {
-    if (frequency_hz_[i] <= 0.0) continue;  // before the first sweep
     total += core_table_[i]->power(frequency_hz_[i]);
   }
   return total;

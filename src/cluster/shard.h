@@ -20,9 +20,10 @@
 // Partitioning never changes simulation results: the batched advance
 // touches only per-core state, and every ordered effect is committed
 // serially in node order — the same contract StepPool::run documents.
-// The hierarchical daemon (core/tree_daemon.h) runs each slab's sweep and
-// its leaf's per-shard compute as one pool task, and keeps every ordered
-// effect (sends, journal events, grant applies) on the simulation thread.
+// The hierarchical daemon (core/tree_daemon.h) runs each slab's sweep, its
+// leaf's per-shard compute and its grant applies as pool tasks, and keeps
+// every ordered effect (sends, journal events, counters) on the simulation
+// thread.
 #pragma once
 
 #include <cstddef>
@@ -104,11 +105,22 @@ class Shard {
   /// core bounds its advance).
   double next_interesting_time() const { return next_interesting_min_; }
 
-  /// Hot per-core state refreshed by the last sweep.
+  /// Hot per-core state refreshed by the last sweep.  The set-point array
+  /// is also seeded at construction and written through by set_frequency,
+  /// so it is current whenever every write goes through the shard.
   const std::vector<double>& synced_until() const { return synced_until_; }
   const std::vector<double>& frequency_hz() const { return frequency_hz_; }
 
-  /// Peak power of the slab at the frequencies cached by the last sweep.
+  /// Sets core `i`'s frequency when `hz` differs from the hot set-point
+  /// (Core::set_frequency syncs the core first); an unchanged set-point
+  /// never touches the cold Core.
+  void set_frequency(std::size_t i, double hz) {
+    if (frequency_hz_[i] == hz) return;
+    cores_[i]->set_frequency(hz);
+    frequency_hz_[i] = hz;
+  }
+
+  /// Peak power of the slab at the cached set-points.
   double cached_power_w() const;
 
   /// Sweep statistics (for the scale bench and the inspector).

@@ -244,10 +244,10 @@ class ClusterDaemon {
   /// same stages the SMP daemon uses.
   struct NodeAgent {
     NodeAgent(cluster::Cluster& cluster,
-              std::vector<cluster::ProcAddress> procs,
+              const std::vector<cluster::ProcAddress>& procs,
               const mach::MemoryLatencies& latencies,
               IpcEstimator::Options options, double start_time)
-        : sampler(cluster, std::move(procs),
+        : sampler(cluster, procs,
                   SimCoreSampler::ResetPolicy::kOnElapsed, start_time),
           estimator(latencies, options) {
       views.resize(sampler.cpu_count());

@@ -511,20 +511,22 @@ const sim::TimeSeries& ControlLoop::trace(std::size_t cpu, Trace which) const {
 // ---------------------------------------------------------------------------
 
 SimCoreSampler::SimCoreSampler(cluster::Cluster& cluster,
-                               std::vector<cluster::ProcAddress> procs,
+                               const std::vector<cluster::ProcAddress>& procs,
                                ResetPolicy reset, double start_time)
-    : cluster_(cluster), procs_(std::move(procs)), reset_(reset) {
-  last_snapshot_.resize(procs_.size());
-  aggregate_.resize(procs_.size());
-  aggregate_started_at_.assign(procs_.size(), start_time);
-  for (std::size_t i = 0; i < procs_.size(); ++i) {
-    last_snapshot_[i] = cluster_.core(procs_[i]).read_counters();
+    : reset_(reset) {
+  cores_.reserve(procs.size());
+  last_snapshot_.resize(procs.size());
+  aggregate_.resize(procs.size());
+  aggregate_started_at_.assign(procs.size(), start_time);
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    cores_.push_back(&cluster.core(procs[i]));
+    last_snapshot_[i] = cores_[i]->read_counters();
   }
 }
 
 void SimCoreSampler::collect() {
-  for (std::size_t i = 0; i < procs_.size(); ++i) {
-    auto& core = cluster_.core(procs_[i]);
+  for (std::size_t i = 0; i < cores_.size(); ++i) {
+    cpu::Core& core = *cores_[i];
     // read_counters() syncs the core first, so any grid instants crossed
     // since the last collect have already recorded their snapshots.
     const cpu::PerfCounters now = core.read_counters();
@@ -554,10 +556,10 @@ std::vector<IntervalSample> SimCoreSampler::end_interval(double now) {
 void SimCoreSampler::end_interval(double now,
                                   std::vector<IntervalSample>& out) {
   collect();  // fold anything gathered since the last tick
-  out.assign(procs_.size(), IntervalSample{});
-  for (std::size_t i = 0; i < procs_.size(); ++i) {
+  out.assign(cores_.size(), IntervalSample{});
+  for (std::size_t i = 0; i < cores_.size(); ++i) {
     IntervalSample& s = out[i];
-    auto& core = cluster_.core(procs_[i]);
+    cpu::Core& core = *cores_[i];
     const double elapsed = now - aggregate_started_at_[i];
     s.delta = aggregate_[i];
     s.elapsed_s = elapsed;

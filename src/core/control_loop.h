@@ -471,24 +471,22 @@ class SimCoreSampler final : public Sampler {
     kOnElapsed,
   };
 
-  /// Takes the construction-time snapshot of every core's counters.
+  /// Resolves every processor's core (the cluster must outlive the
+  /// sampler) and takes the construction-time snapshot of its counters.
   /// `start_time` is the current simulated time (the first interval's
   /// start).
   SimCoreSampler(cluster::Cluster& cluster,
-                 std::vector<cluster::ProcAddress> procs,
+                 const std::vector<cluster::ProcAddress>& procs,
                  ResetPolicy reset = ResetPolicy::kOnValidInterval,
                  double start_time = 0.0);
 
-  std::size_t cpu_count() const override { return procs_.size(); }
+  std::size_t cpu_count() const override { return cores_.size(); }
   void collect() override;
   std::vector<IntervalSample> end_interval(double now) override;
   void end_interval(double now, std::vector<IntervalSample>& out) override;
 
-  const std::vector<cluster::ProcAddress>& procs() const { return procs_; }
-
  private:
-  cluster::Cluster& cluster_;
-  std::vector<cluster::ProcAddress> procs_;
+  std::vector<cpu::Core*> cores_;  ///< Resolved once, in `procs` order.
   ResetPolicy reset_;
   std::vector<cpu::PerfCounters> last_snapshot_;
   std::vector<cpu::PerfCounters> aggregate_;

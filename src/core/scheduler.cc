@@ -44,9 +44,9 @@ double FrequencyScheduler::predicted_loss(const WorkloadEstimate& est,
   return loss_at(est, hz, table_.max_hz());
 }
 
-std::size_t FrequencyScheduler::pass1_index(const ProcView& proc,
-                                            const mach::FrequencyTable& table,
-                                            Pass1Reason* reason) const {
+std::size_t FrequencyScheduler::desired_index(
+    const ProcView& proc, const mach::FrequencyTable& table,
+    Pass1Reason* reason) const {
   const auto classified = [&](std::size_t i, Pass1Reason r) {
     if (reason) *reason = r;
     return i;
@@ -60,14 +60,44 @@ std::size_t FrequencyScheduler::pass1_index(const ProcView& proc,
     // interval will produce an estimate.
     return classified(table.size() - 1, Pass1Reason::kNoEstimate);
   }
+  if (options_.variant == SchedulerVariant::kContinuous) {
+    const double f_ideal =
+        ideal_frequency(proc.estimate, table.max_hz(), options_.epsilon);
+    // Snap upward: any grid point below f_ideal loses more than epsilon.
+    const std::size_t i = *table.index_of(table.ceil_point(f_ideal).hz);
+    return classified(i, i + 1 == table.size() ? Pass1Reason::kFmax
+                                               : Pass1Reason::kEpsilon);
+  }
+  // loss_at's expression with the f_max reference evaluated once.
+  const double perf_max =
+      predictor_.predict_performance(proc.estimate, table.max_hz());
   for (std::size_t i = 0; i + 1 < table.size(); ++i) {
-    if (loss_at(proc.estimate, table[i].hz, table.max_hz()) <
+    if (perf_loss(perf_max, predictor_.predict_performance(proc.estimate,
+                                                           table[i].hz)) <
         options_.epsilon) {
       return classified(i, Pass1Reason::kEpsilon);
     }
   }
   // Loss at f_max itself is 0 < epsilon; no lower setting qualified.
   return classified(table.size() - 1, Pass1Reason::kFmax);
+}
+
+void FrequencyScheduler::pass1(const std::vector<ProcView>& procs,
+                               const Tables& tables,
+                               std::vector<std::size_t>& idx,
+                               std::vector<Pass1Reason>& reasons) const {
+  idx.resize(procs.size());
+  reasons.resize(procs.size());
+  for (std::size_t p = 0; p < procs.size(); ++p) {
+    idx[p] = desired_index(procs[p], *tables[p], &reasons[p]);
+  }
+}
+
+double FrequencyScheduler::total_power(const std::vector<std::size_t>& idx,
+                                       const Tables& tables) {
+  double w = 0.0;
+  for (std::size_t p = 0; p < idx.size(); ++p) w += (*tables[p])[idx[p]].watts;
+  return w;
 }
 
 void FrequencyScheduler::record_downgrade(std::size_t proc,
@@ -99,15 +129,7 @@ void FrequencyScheduler::pass2_power_fit(std::vector<std::size_t>& idx,
                                          const Tables& tables,
                                          double power_budget_w,
                                          ScheduleResult& result) const {
-  auto total_power = [&] {
-    double w = 0.0;
-    for (std::size_t p = 0; p < idx.size(); ++p) {
-      w += (*tables[p])[idx[p]].watts;
-    }
-    return w;
-  };
-
-  double power = total_power();
+  double power = total_power(idx, tables);
   // kPowerSlackW: `power` is maintained incrementally across downgrades,
   // so at a budget that equals a reachable configuration exactly the
   // running total can sit an ulp above it; a strict comparison would then
@@ -188,11 +210,9 @@ ScheduleResult FrequencyScheduler::schedule_two_pass(
     const std::vector<ProcView>& procs, const Tables& tables,
     double power_budget_w) const {
   ScheduleResult result;
-  std::vector<std::size_t> idx(procs.size());
-  std::vector<Pass1Reason> reasons(procs.size());
-  for (std::size_t p = 0; p < procs.size(); ++p) {
-    idx[p] = pass1_index(procs[p], *tables[p], &reasons[p]);
-  }
+  std::vector<std::size_t> idx;
+  std::vector<Pass1Reason> reasons;
+  pass1(procs, tables, idx, reasons);
   const std::vector<std::size_t> desired = idx;
   pass2_power_fit(idx, procs, tables, power_budget_w, result);
   return finalize(procs, tables, desired, std::move(idx), reasons,
@@ -206,13 +226,10 @@ ScheduleResult FrequencyScheduler::schedule_single_pass(
   // are identical to the two-pass procedure (verified by test): the greedy
   // order of downgrades is the same, only the bookkeeping differs.
   ScheduleResult result;
-  std::vector<std::size_t> idx(procs.size());
-  std::vector<Pass1Reason> reasons(procs.size());
-  double power = 0.0;
-  for (std::size_t p = 0; p < procs.size(); ++p) {
-    idx[p] = pass1_index(procs[p], *tables[p], &reasons[p]);
-    power += (*tables[p])[idx[p]].watts;
-  }
+  std::vector<std::size_t> idx;
+  std::vector<Pass1Reason> reasons;
+  pass1(procs, tables, idx, reasons);
+  double power = total_power(idx, tables);
   const std::vector<std::size_t> desired = idx;
 
   struct Candidate {
@@ -266,48 +283,14 @@ ScheduleResult FrequencyScheduler::schedule_single_pass(
                   std::move(result));
 }
 
-ScheduleResult FrequencyScheduler::schedule_continuous(
-    const std::vector<ProcView>& procs, const Tables& tables,
-    double power_budget_w) const {
-  ScheduleResult result;
-  std::vector<std::size_t> idx(procs.size());
-  std::vector<Pass1Reason> reasons(procs.size());
-  for (std::size_t p = 0; p < procs.size(); ++p) {
-    const auto& proc = procs[p];
-    const auto& table = *tables[p];
-    if (proc.idle && options_.idle_detection) {
-      idx[p] = 0;
-      reasons[p] = Pass1Reason::kIdle;
-    } else if (!proc.estimate.valid) {
-      idx[p] = table.size() - 1;
-      reasons[p] = Pass1Reason::kNoEstimate;
-    } else {
-      const double f_ideal =
-          ideal_frequency(proc.estimate, table.max_hz(), options_.epsilon);
-      // Snap upward: any grid point below f_ideal loses more than epsilon.
-      const auto& point = table.ceil_point(f_ideal);
-      idx[p] = *table.index_of(point.hz);
-      reasons[p] = idx[p] + 1 == table.size() ? Pass1Reason::kFmax
-                                              : Pass1Reason::kEpsilon;
-    }
-  }
-  const std::vector<std::size_t> desired = idx;
-  pass2_power_fit(idx, procs, tables, power_budget_w, result);
-  return finalize(procs, tables, desired, std::move(idx), reasons,
-                  std::move(result));
-}
-
 ScheduleResult FrequencyScheduler::schedule_watts_per_loss(
     const std::vector<ProcView>& procs, const Tables& tables,
     double power_budget_w) const {
   ScheduleResult result;
-  std::vector<std::size_t> idx(procs.size());
-  std::vector<Pass1Reason> reasons(procs.size());
-  double power = 0.0;
-  for (std::size_t p = 0; p < procs.size(); ++p) {
-    idx[p] = pass1_index(procs[p], *tables[p], &reasons[p]);
-    power += (*tables[p])[idx[p]].watts;
-  }
+  std::vector<std::size_t> idx;
+  std::vector<Pass1Reason> reasons;
+  pass1(procs, tables, idx, reasons);
+  double power = total_power(idx, tables);
   const std::vector<std::size_t> desired = idx;
 
   while (power > power_budget_w + mach::kPowerSlackW) {
@@ -367,11 +350,10 @@ ScheduleResult FrequencyScheduler::schedule(
   }
   switch (options_.variant) {
     case SchedulerVariant::kTwoPass:
+    case SchedulerVariant::kContinuous:  // differs in pass 1 only
       return schedule_two_pass(procs, tables, power_budget_w);
     case SchedulerVariant::kSinglePass:
       return schedule_single_pass(procs, tables, power_budget_w);
-    case SchedulerVariant::kContinuous:
-      return schedule_continuous(procs, tables, power_budget_w);
     case SchedulerVariant::kWattsPerLoss:
       return schedule_watts_per_loss(procs, tables, power_budget_w);
   }

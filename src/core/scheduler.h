@@ -144,6 +144,16 @@ class FrequencyScheduler {
                           const std::vector<const mach::FrequencyTable*>& tables,
                           double power_budget_w) const;
 
+  /// Pass 1 alone for one processor: the index into `table` of its desired
+  /// (epsilon-constrained) operating point under the configured variant —
+  /// kContinuous snaps f_ideal up onto the grid, every other variant takes
+  /// the lowest point within epsilon.  Every schedule() path computes its
+  /// desired points here, so this equals the desired index schedule()
+  /// reports (and, under an unbounded budget, the granted one).
+  std::size_t desired_index(const ProcView& proc,
+                            const mach::FrequencyTable& table,
+                            Pass1Reason* reason = nullptr) const;
+
   /// Predicted PerfLoss(f_max, hz) for one workload estimate; exposed for
   /// tests and benches.
   double predicted_loss(const WorkloadEstimate& est, double hz) const;
@@ -156,9 +166,11 @@ class FrequencyScheduler {
   using Tables = std::vector<const mach::FrequencyTable*>;
 
   double loss_at(const WorkloadEstimate& est, double hz, double f_max) const;
-  std::size_t pass1_index(const ProcView& proc,
-                          const mach::FrequencyTable& table,
-                          Pass1Reason* reason = nullptr) const;
+  void pass1(const std::vector<ProcView>& procs, const Tables& tables,
+             std::vector<std::size_t>& idx,
+             std::vector<Pass1Reason>& reasons) const;
+  static double total_power(const std::vector<std::size_t>& idx,
+                            const Tables& tables);
   void record_downgrade(std::size_t proc, std::size_t from_idx,
                         const std::vector<ProcView>& procs,
                         const Tables& tables, ScheduleResult& result) const;
@@ -172,9 +184,6 @@ class FrequencyScheduler {
   ScheduleResult schedule_single_pass(const std::vector<ProcView>& procs,
                                       const Tables& tables,
                                       double power_budget_w) const;
-  ScheduleResult schedule_continuous(const std::vector<ProcView>& procs,
-                                     const Tables& tables,
-                                     double power_budget_w) const;
   ScheduleResult schedule_watts_per_loss(const std::vector<ProcView>& procs,
                                          const Tables& tables,
                                          double power_budget_w) const;

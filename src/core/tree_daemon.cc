@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -88,15 +87,13 @@ TreeDaemon::TreeDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
       }
     }
     leaf.sampler = std::make_unique<SimCoreSampler>(
-        cluster_, std::move(procs), SimCoreSampler::ResetPolicy::kOnElapsed,
-        start_t_);
+        cluster_, procs, SimCoreSampler::ResetPolicy::kOnElapsed, start_t_);
     IpcEstimator::Options est;
     est.idle_signal = config_.idle_signal;
     est.halted_idle_threshold = config_.halted_idle_threshold;
     leaf.estimator = std::make_unique<IpcEstimator>(latencies, est);
     leaf.views.resize(span.cpu_count);
     leaf.desired.assign(span.cpu_count, 0);
-    leaf.granted.reserve(span.cpu_count);
     leaf.last_grant_t = start_t_;
   }
 
@@ -250,6 +247,7 @@ void TreeDaemon::schedule_summary_wake() {
 TreeDaemon::~TreeDaemon() {
   if (tick_event_) sim_.cancel(tick_event_);
   if (summary_wake_event_) sim_.cancel(summary_wake_event_);
+  if (apply_flush_event_) sim_.cancel(apply_flush_event_);
 }
 
 std::size_t TreeDaemon::failsafe_shard_count() const {
@@ -294,31 +292,24 @@ void TreeDaemon::run_leaves(const Fn& fn) {
   }
 }
 
-void TreeDaemon::presync_shards(double now) {
-  // Batched SoA sweep plus the leaf's counter collect, one contiguous slab
-  // per pool task: each core is read back while the sweep's cache lines
-  // are still warm, and a sampler only ever touches its own slab.  Unlike
-  // the flat daemon, crashed nodes keep advancing: a node crash downs the
-  // *agent* (no summaries, no applies), not the machine — and the
-  // unconditional sweep is what keeps tick and event advance bit-identical
-  // under faults.
+void TreeDaemon::on_tick() {
+  // Tick mode: per-t sweep and collect.  The summary instant runs on its
+  // own lattice event (schedule_summary_wake) in both modes; a tick
+  // coinciding with it contributes a zero-length slice whichever runs
+  // first.  Unlike the flat daemon, crashed nodes keep advancing: a node
+  // crash downs the *agent* (no summaries, no applies), not the machine —
+  // and the unconditional sweep is what keeps tick and event advance
+  // bit-identical under faults.
+  flush_applies();
+  const double now = sim_.now();
   run_leaves([this, now](Leaf& leaf) {
     shards_[leaf.id].advance_to(now);
     leaf.sampler->collect();
   });
 }
 
-void TreeDaemon::on_tick() {
-  // Tick mode: per-t collection only.  The summary instant runs on its own
-  // lattice event (schedule_summary_wake) in both modes; a tick coinciding
-  // with it contributes a zero-length slice whichever runs first.
-  presync_shards(sim_.now());
-}
-
 void TreeDaemon::on_summary_wake() {
-  const double now = sim_.now();
-  presync_shards(now);  // event mode: grid subdivision replays skipped ticks
-  summary_instant(now);
+  summary_instant(sim_.now());
   next_summary_k_ +=
       static_cast<std::uint64_t>(config_.schedule_every_n_samples);
   schedule_summary_wake();
@@ -329,6 +320,13 @@ void TreeDaemon::on_summary_wake() {
 // --------------------------------------------------------------------------
 
 void TreeDaemon::summary_instant(double now) {
+  // Grants delivered at this instant land before the fail-safe check and
+  // the close read the slabs.
+  flush_applies();
+  // Takeover and fail-safe run before the sweep.  That order is invisible:
+  // Core::set_frequency syncs a dropped core with the same advance_to(now)
+  // the sweep would run (the sweep then finds it synced), the sweep emits
+  // no journal events, and the collect after it reads only counters.
   maybe_take_over(now);
   failsafe_check(now);
 
@@ -336,11 +334,16 @@ void TreeDaemon::summary_instant(double now) {
   last_sample_t_ = now;
   agg_flushed_ = 0;
 
-  // Close every leaf's interval on the pool (per-leaf state only), then
-  // launch the summaries serially in leaf order (deliveries land at
-  // now + L).  The aggregate flushes are scheduled *after* the send loop,
-  // so at now + L the FIFO queue runs every delivery before any flush.
-  run_leaves([this, now](Leaf& leaf) { leaf_close_interval(leaf, now); });
+  // One pool task per slab touches it once, while warm: the batched sweep
+  // (in event mode the grid subdivision replays the skipped ticks), then
+  // the interval close (per-leaf state only).  The summaries then launch
+  // serially in leaf order (deliveries land at now + L).  The aggregate
+  // flushes are scheduled *after* the send loop, so at now + L the FIFO
+  // queue runs every delivery before any flush.
+  run_leaves([this, now](Leaf& leaf) {
+    shards_[leaf.id].advance_to(now);
+    leaf_close_interval(leaf, now);
+  });
   for (Leaf& leaf : leaves_) leaf_send_summary(leaf, now);
   for (std::size_t a = 0; a < agg_children_.size(); ++a) {
     sim_.schedule_at(now + config_.link_latency_s,
@@ -351,18 +354,20 @@ void TreeDaemon::summary_instant(double now) {
 }
 
 void TreeDaemon::leaf_close_interval(Leaf& leaf, double now) {
-  // Runs on a pool worker: reads the leaf's own slab and writes only the
-  // leaf.  Every ordered effect (counters, journal, sends) is left to
-  // leaf_send_summary on the simulation thread.
-  cluster::Shard& shard = shards_[leaf.id];
+  // Runs on a pool worker, right after the leaf's slab sweep: reads the
+  // leaf's own slab and writes only the leaf.  Every ordered effect
+  // (counters, journal, sends) is left to leaf_send_summary on the
+  // simulation thread.
+  const cluster::Shard& shard = shards_[leaf.id];
 
-  // The monitor's power input: the slab's CPU power, after failsafe_check
-  // so fail-safe drops count.  Integer microwatts sum exactly, so the
-  // total cannot depend on how the cluster is sharded.
+  // The monitor's power input: the slab's CPU power from the hot set-point
+  // array, after failsafe_check so fail-safe drops count.  Integer
+  // microwatts sum exactly, so the total cannot depend on how the cluster
+  // is sharded.
   if (config_.monitor) {
     MicroWatts power_uw = 0;
-    for (std::size_t i = 0; i < shard.core_count(); ++i) {
-      const auto idx = table_.index_of(shard.core(i).frequency_hz());
+    for (const double hz : shard.frequency_hz()) {
+      const auto idx = table_.index_of(hz);
       if (!idx) throw std::out_of_range("TreeDaemon: unknown frequency");
       power_uw += pw_uw_[*idx];
     }
@@ -370,22 +375,22 @@ void TreeDaemon::leaf_close_interval(Leaf& leaf, double now) {
   }
 
   leaf.closed = !leaf_down(leaf.id, now);
-  if (!leaf.closed) return;  // coordinator down: no close, no send
+  if (!leaf.closed) {  // coordinator down: collect only, no close, no send
+    leaf.sampler->collect();
+    return;
+  }
 
-  leaf.sampler->end_interval(now, leaf.interval);
+  leaf.sampler->end_interval(now, leaf.interval);  // collects first
   leaf.estimator->update(leaf.interval, leaf.views);
 
-  // The paper's pass 1, leaf-locally: an unbounded budget never triggers
-  // pass-2 downgrades, so decisions[i].hz IS the desired operating point.
-  const ScheduleResult result = scheduler_->schedule(
-      leaf.views, std::numeric_limits<double>::infinity());
-
+  // The paper's pass 1, leaf-locally: pass 2 belongs to the root's cap
+  // profile, so each CPU's desired index is all the leaf computes.
   ShardSummary& summary = leaf.summary;
   summary = ShardSummary{};
   summary.round = round_seq_;
   summary.desired.assign(table_.size(), 0);
   for (std::size_t i = 0; i < leaf.views.size(); ++i) {
-    const std::size_t idx = *table_.index_of(result.decisions[i].hz);
+    const std::size_t idx = scheduler_->desired_index(leaf.views[i], table_);
     leaf.desired[i] = static_cast<std::uint16_t>(idx);
     if (node_crashed(shard.node_of_core(i), now)) continue;  // agent down
     summary.desired[idx] += 1;
@@ -664,24 +669,16 @@ void TreeDaemon::leaf_apply(std::size_t leaf_id, const Grant& grant,
     return;
   }
 
-  cluster::Shard& shard = shards_[leaf_id];
-  const auto cap = static_cast<std::uint16_t>(grant.cap);
-  std::uint64_t left = grant.quota;
-  for (std::size_t i = 0; i < shard.core_count(); ++i) {
-    if (node_crashed(shard.node_of_core(i), now)) continue;  // agent down
-    const std::uint16_t d = leaf.desired[i];
-    std::uint16_t g = d;
-    if (d > cap) {
-      if (left > 0) {
-        --left;
-        g = static_cast<std::uint16_t>(cap + 1);
-      } else {
-        g = cap;
-      }
-    }
-    const double hz = table_[g].hz;
-    cpu::Core& core = shard.core(i);
-    if (core.frequency_hz() != hz) core.set_frequency(hz);
+  // The core writes wait for flush_applies at this same instant, which
+  // applies each shard's queue in order on the pool; every check, counter
+  // and journal event stays here, at delivery.
+  leaf.queued.push_back({static_cast<std::uint16_t>(grant.cap), grant.quota});
+  applies_queued_ = true;
+  if (!apply_flush_event_) {
+    apply_flush_event_ = sim_.schedule_at(now, [this] {
+      apply_flush_event_ = 0;
+      flush_applies();
+    });
   }
 
   leaf.last_grant_t = now;
@@ -717,6 +714,38 @@ void TreeDaemon::leaf_apply(std::size_t leaf_id, const Grant& grant,
         .set("shard", static_cast<double>(leaf_id))
         .set("round", static_cast<double>(grant.round))
         .set("quota", static_cast<double>(grant.quota));
+  }
+}
+
+void TreeDaemon::flush_applies() {
+  if (!applies_queued_) return;
+  applies_queued_ = false;
+  const double now = sim_.now();
+  run_leaves([this, now](Leaf& leaf) {
+    for (const QueuedApply& grant : leaf.queued) apply_grant(leaf, grant, now);
+    leaf.queued.clear();
+  });
+}
+
+void TreeDaemon::apply_grant(Leaf& leaf, const QueuedApply& grant,
+                             double now) {
+  // Runs on a pool worker: the leaf's slab only.  The shard skips every
+  // core whose set-point does not change, so unchanged cores stay cold.
+  cluster::Shard& shard = shards_[leaf.id];
+  std::uint64_t left = grant.quota;
+  for (std::size_t i = 0; i < shard.core_count(); ++i) {
+    if (node_crashed(shard.node_of_core(i), now)) continue;  // agent down
+    const std::uint16_t d = leaf.desired[i];
+    std::uint16_t g = d;
+    if (d > grant.cap) {
+      if (left > 0) {
+        --left;
+        g = static_cast<std::uint16_t>(grant.cap + 1);
+      } else {
+        g = grant.cap;
+      }
+    }
+    shard.set_frequency(i, table_[g].hz);
   }
 }
 
@@ -784,8 +813,7 @@ void TreeDaemon::failsafe_check(double now) {
     cluster::Shard& shard = shards_[leaf.id];
     for (std::size_t i = 0; i < shard.core_count(); ++i) {
       if (node_crashed(shard.node_of_core(i), now)) continue;
-      cpu::Core& core = shard.core(i);
-      if (core.frequency_hz() != hz) core.set_frequency(hz);
+      shard.set_frequency(i, hz);
     }
     leaf.failsafe = true;
     entered_cpus += shard.core_count();

@@ -73,7 +73,7 @@ struct TreeDaemonConfig {
   double link_latency_s = 100e-6;
   AdvanceMode advance_mode = AdvanceMode::kTick;
   /// Worker threads for the per-shard leaf work — slab sweep, counter
-  /// collection and interval close (1 = serial).
+  /// collection, interval close and grant applies (1 = serial).
   int step_threads = 1;
   IdleSignal idle_signal = IdleSignal::kOsSignal;
   double halted_idle_threshold = 0.90;
@@ -128,13 +128,19 @@ class TreeDaemon {
   sim::MetricRegistry& telemetry() { return telemetry_; }
 
  private:
+  /// A delivered grant waiting for the same-instant flush_applies.
+  struct QueuedApply {
+    std::uint16_t cap = 0;    ///< Cap index c*.
+    std::uint64_t quota = 0;  ///< Promotions granted to this shard.
+  };
+
   struct Leaf {
     std::size_t id = 0;
     std::unique_ptr<SimCoreSampler> sampler;
     std::unique_ptr<IpcEstimator> estimator;
     std::vector<ProcView> views;
     std::vector<std::uint16_t> desired;   ///< Pass-1 indices, per CPU.
-    std::vector<std::uint16_t> granted;   ///< Scratch for apply.
+    std::vector<QueuedApply> queued;      ///< Admitted, not yet applied.
     cluster::EpochFence fence;
     std::vector<IntervalSample> interval;  ///< Reused end_interval buffer.
     double last_grant_t = 0.0;
@@ -173,11 +179,10 @@ class TreeDaemon {
   };
 
   // --- Round pipeline (times relative to the summary instant t_k) ------
-  void on_tick();                    // tick mode: per-t collect
+  void on_tick();                    // tick mode: per-t sweep + collect
   void schedule_summary_wake();      // next summary on the tick lattice
   void on_summary_wake();            // the summary instant (both modes)
-  void presync_shards(double now);   // pool: sweep + collect per shard
-  void summary_instant(double now);  // t_k: close intervals, send up
+  void summary_instant(double now);  // t_k: sweep, close, send up
   void leaf_close_interval(Leaf& leaf, double now);  // pool: pure compute
   void leaf_send_summary(Leaf& leaf, double now);    // serial, leaf order
   /// Runs fn(leaf) for every leaf on the step pool; rethrows the first
@@ -190,7 +195,12 @@ class TreeDaemon {
   void agg_receive_down(std::size_t agg, const Grant& grant,
                         const cluster::Frame& frame);
   void leaf_apply(std::size_t leaf_id, const Grant& grant,
-                  const cluster::Frame& frame);
+                  const cluster::Frame& frame);  // checks, queues the grant
+  /// Applies every queued grant, per shard on the pool, in delivery order.
+  /// Runs as its own event at the delivery instant, and first thing in any
+  /// same-instant sweep or fail-safe check.
+  void flush_applies();
+  void apply_grant(Leaf& leaf, const QueuedApply& grant, double now);
 
   // --- Protocol helpers -------------------------------------------------
   bool leaf_down(std::size_t leaf, double now) const;
@@ -251,6 +261,8 @@ class TreeDaemon {
   std::uint64_t next_summary_k_ = 0;
   sim::EventId tick_event_ = 0;
   sim::EventId summary_wake_event_ = 0;
+  sim::EventId apply_flush_event_ = 0;  ///< Scheduled flush_applies, if any.
+  bool applies_queued_ = false;         ///< Some leaf's queue is non-empty.
 
   std::uint64_t round_seq_ = 0;        ///< Summary instants so far.
   std::size_t rounds_applied_ = 0;

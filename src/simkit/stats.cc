@@ -1,6 +1,7 @@
 #include "simkit/stats.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 #include <cmath>
 
@@ -120,10 +121,7 @@ double Histogram::quantile(double p) const {
   return hi_;
 }
 
-void SampleSet::add(double x) {
-  samples_.push_back(x);
-  sorted_ = false;
-}
+void SampleSet::add(double x) { samples_.push_back(x); }
 
 double SampleSet::mean() const {
   if (samples_.empty()) return 0.0;
@@ -145,9 +143,12 @@ double SampleSet::max() const {
 double SampleSet::percentile(double p) const {
   if (samples_.empty()) throw std::out_of_range("SampleSet: empty");
   if (p < 0.0 || p > 1.0) throw std::out_of_range("SampleSet: p in [0,1]");
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
+  if (sorted_prefix_ < samples_.size()) {
+    const auto mid =
+        samples_.begin() + static_cast<std::ptrdiff_t>(sorted_prefix_);
+    std::sort(mid, samples_.end());
+    std::inplace_merge(samples_.begin(), mid, samples_.end());
+    sorted_prefix_ = samples_.size();
   }
   // Nearest-rank definition: smallest value with cumulative share >= p.
   const auto n = static_cast<double>(samples_.size());

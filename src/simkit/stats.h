@@ -106,12 +106,16 @@ class SampleSet {
   double max() const;
 
   /// Exact p-quantile with p in [0, 1] (nearest-rank).  Throws
-  /// std::out_of_range when empty or p outside [0, 1].
+  /// std::out_of_range when empty or p outside [0, 1].  Samples added since
+  /// the last query are sorted on their own and merged into the sorted
+  /// prefix, so interleaved add/percentile calls cost O(k log k + n), not
+  /// a full re-sort.
   double percentile(double p) const;
 
  private:
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
+  /// samples_[0, sorted_prefix_) is sorted; the tail is in arrival order.
+  mutable std::size_t sorted_prefix_ = 0;
 };
 
 /// Discrete category histogram keyed by exact values (e.g. the 16 frequency

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "mach/machine_config.h"
 #include "simkit/rng.h"
 #include "simkit/units.h"
@@ -379,6 +381,49 @@ TEST_P(SchedulerProperty, ContinuousVariantNeverBelowDiscreteDemand) {
     const double diff =
         std::abs(disc.decisions[i].hz - cont.decisions[i].hz);
     EXPECT_LE(diff, 50 * MHz + 1e-6);
+  }
+}
+
+TEST_P(SchedulerProperty, DesiredIndexMatchesUnboundedSchedule) {
+  // The pass-1-only entry point against the full schedule() under an
+  // unbounded budget, for every variant, over idle, estimate-less and
+  // valid processors.
+  sim::Rng rng(GetParam() ^ 0x5ca1ab1e);
+  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 16));
+  std::vector<ProcView> procs(n);
+  for (auto& p : procs) {
+    const double kind = rng.uniform(0.0, 1.0);
+    if (kind < 0.2) {
+      p.idle = true;
+      p.estimate = make_estimate(rng.uniform(0.8, 2.0), rng.uniform(0.0, 20.0));
+    } else if (kind < 0.35) {
+      p.estimate.valid = false;
+    } else {
+      p.estimate = make_estimate(rng.uniform(0.8, 2.0), rng.uniform(0.0, 20.0));
+    }
+  }
+  const mach::FrequencyTable table = mach::p630_frequency_table();
+  for (SchedulerVariant variant :
+       {SchedulerVariant::kTwoPass, SchedulerVariant::kSinglePass,
+        SchedulerVariant::kContinuous, SchedulerVariant::kWattsPerLoss}) {
+    for (bool idle_detection : {true, false}) {
+      FrequencyScheduler::Options opts;
+      opts.variant = variant;
+      opts.idle_detection = idle_detection;
+      const FrequencyScheduler sched(table, kLat, opts);
+      const ScheduleResult full =
+          sched.schedule(procs, std::numeric_limits<double>::infinity());
+      ASSERT_EQ(full.decisions.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        Pass1Reason reason = Pass1Reason::kUnspecified;
+        const std::size_t idx = sched.desired_index(procs[i], table, &reason);
+        ASSERT_LT(idx, table.size());
+        EXPECT_EQ(table[idx].hz, full.decisions[i].desired_hz)
+            << "variant " << static_cast<int>(variant) << " proc " << i;
+        EXPECT_EQ(table[idx].hz, full.decisions[i].hz);
+        EXPECT_EQ(reason, full.decisions[i].pass1_reason);
+      }
+    }
   }
 }
 

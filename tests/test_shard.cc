@@ -189,5 +189,48 @@ TEST(Shard, HotArraysTrackFrequencyAndPower) {
   EXPECT_EQ(shard.frequency_hz()[0], low);
 }
 
+TEST(Shard, SetFrequencyWritesThrough) {
+  sim::Simulation sim;
+  sim::Rng rng(6);
+  cluster::Cluster c = make_cluster(sim, rng, 4);
+  const cluster::ShardMap map(c, 2);
+  std::vector<cluster::Shard> shards = cluster::make_shards(c, map);
+  cluster::Shard& shard = shards[0];
+  const mach::FrequencyTable& table = mach::p630().freq_table;
+
+  // The set-point array is seeded from the cores, before any sweep.
+  for (std::size_t i = 0; i < shard.core_count(); ++i) {
+    EXPECT_EQ(shard.frequency_hz()[i], shard.core(i).frequency_hz());
+  }
+
+  sim.run_until(0.05);
+  const double synced = shard.core(0).synced_until();
+  const std::uint64_t calls = shard.core(0).advance_calls();
+
+  // An unchanged set-point leaves the cold core alone: no sync, no write.
+  shard.set_frequency(0, shard.frequency_hz()[0]);
+  EXPECT_EQ(shard.core(0).synced_until(), synced);
+  EXPECT_EQ(shard.core(0).advance_calls(), calls);
+
+  // A change reaches the core (synced first) and the hot array at once,
+  // without waiting for a sweep.
+  const double low = table.min_hz();
+  ASSERT_NE(shard.frequency_hz()[0], low);
+  shard.set_frequency(0, low);
+  EXPECT_EQ(shard.core(0).frequency_hz(), low);
+  EXPECT_EQ(shard.frequency_hz()[0], low);
+  EXPECT_EQ(shard.core(0).synced_until(), 0.05);
+  double expect_w = 0.0;
+  for (std::size_t i = 0; i < shard.core_count(); ++i) {
+    expect_w += table.power(shard.core(i).frequency_hz());
+  }
+  EXPECT_NEAR(shard.cached_power_w(), expect_w, 1e-9);
+
+  // The next sweep agrees with the written-through value.
+  shard.advance_to(0.1);
+  EXPECT_EQ(shard.frequency_hz()[0], low);
+  EXPECT_EQ(shard.core(0).frequency_hz(), low);
+}
+
 }  // namespace
 }  // namespace fvsst

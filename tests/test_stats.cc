@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "simkit/rng.h"
 
 namespace fvsst::sim {
 namespace {
@@ -213,6 +217,38 @@ TEST(HistogramQuantile, MonotoneInProbability) {
     const double q = h.quantile(p);
     EXPECT_GE(q, prev - 1e-12) << "p=" << p;
     prev = q;
+  }
+}
+
+// --- SampleSet (exact order statistics) -----------------------------------
+
+TEST(SampleSetPercentile, InterleavedQueriesMatchFreshSort) {
+  // Batches of random values with many duplicates, each followed by a few
+  // queries: the merged sorted prefix must give exactly the nearest-rank
+  // values a freshly sorted copy gives.
+  Rng rng(0x5e7);
+  SampleSet set;
+  std::vector<double> reference;
+  const double ps[] = {0.0, 0.01, 0.25, 0.5, 0.5001, 0.9, 0.99, 1.0};
+  for (int batch = 0; batch < 60; ++batch) {
+    const auto k = static_cast<int>(rng.uniform_int(0, 40));
+    for (int i = 0; i < k; ++i) {
+      // 25 distinct values: duplicates land on both sides of every merge.
+      const double x = static_cast<double>(rng.uniform_int(0, 24)) * 0.5;
+      set.add(x);
+      reference.push_back(x);
+    }
+    if (reference.empty()) continue;
+    std::vector<double> sorted = reference;
+    std::sort(sorted.begin(), sorted.end());
+    for (double p : ps) {
+      auto rank = static_cast<std::size_t>(
+          std::ceil(p * static_cast<double>(sorted.size())));
+      if (rank > 0) --rank;
+      EXPECT_EQ(set.percentile(p), sorted[rank])
+          << "batch " << batch << " p=" << p;
+    }
+    EXPECT_EQ(set.count(), reference.size());
   }
 }
 

@@ -33,6 +33,10 @@ struct Scenario {
   std::vector<sim::FaultSpec> faults = {};
   /// Attach a monitor with the default rule pack, journalling its alerts.
   bool monitored = false;
+  double t_sample_s = 0.010;
+  double link_latency_s = 100e-6;
+  /// Add two looping two-phase workloads, so desired points keep moving.
+  bool phased = false;
 };
 
 struct RunShape {
@@ -62,6 +66,13 @@ RunResult run_tree(const Scenario& sc, const RunShape& shape,
       workload::make_uniform_synthetic(60.0, 1e12));
   cluster.core({11, 0}).add_workload(
       workload::make_uniform_synthetic(25.0, 1e12));
+  if (sc.phased) {
+    workload::SyntheticParams phases;
+    phases.phase1 = {100.0, 1.2e8};
+    phases.phase2 = {10.0, 3e7};
+    cluster.core({2, 0}).add_workload(workload::make_synthetic(phases));
+    cluster.core({9, 1}).add_workload(workload::make_synthetic(phases));
+  }
 
   const double peak = static_cast<double>(cluster.cpu_count()) * 140.0;
   power::PowerBudget budget(peak);
@@ -90,6 +101,8 @@ RunResult run_tree(const Scenario& sc, const RunShape& shape,
   cfg.standby_root = sc.standby;
   cfg.failsafe_factor = sc.failsafe_factor;
   cfg.transport = sc.transport;
+  cfg.t_sample_s = sc.t_sample_s;
+  cfg.link_latency_s = sc.link_latency_s;
   core::TreeDaemon daemon(sim, cluster, machine.freq_table, budget, cfg);
   sim.run_for(duration);
 
@@ -197,7 +210,11 @@ TEST_P(TreeFixedShardChaos, ThreadAndModeAreInvisibleAtFixedShards) {
   const RunResult ref = run_tree(sc, {4, 1, core::AdvanceMode::kTick});
   ASSERT_GT(ref.rounds, 0u);
   for (const RunShape& shape :
-       {RunShape{4, 2, core::AdvanceMode::kEvent},
+       {RunShape{4, 1, core::AdvanceMode::kEvent},
+        RunShape{4, 2, core::AdvanceMode::kTick},
+        RunShape{4, 2, core::AdvanceMode::kEvent},
+        RunShape{4, 3, core::AdvanceMode::kTick},
+        RunShape{4, 3, core::AdvanceMode::kEvent},
         RunShape{4, 8, core::AdvanceMode::kTick}}) {
     const RunResult got = run_tree(sc, shape);
     EXPECT_EQ(ref.digest, got.digest)
@@ -225,7 +242,28 @@ INSTANTIATE_TEST_SUITE_P(
                  2.0,
                  cluster::TransportMode::kDatagram,
                  {{sim::FaultKind::kCoordinatorCrash, 0.55, 2.6, 0, 0.0},
-                  {sim::FaultKind::kNodeCrash, 0.8, 1.3, 7, 0.0}}}),
+                  {sim::FaultKind::kNodeCrash, 0.8, 1.3, 7, 0.0}}},
+        // Grant deliveries landing exactly on lattice instants, scheduled
+        // before the tick or summary wake there, so the sweep runs between
+        // the delivery and its apply flush (and must flush first).  Dyadic
+        // t = 2^-7 s and L = 2^-13 s keep every instant exact.  A grant
+        // reaches its leaf 4L + 2d after the summary instant (both
+        // downward hops spiked by d); d = (3t - 4L)/2 lands it three ticks
+        // later, d = (30t - 4L)/2 three rounds later, on a summary instant.
+        Scenario{"delay_spike_on_lattice",
+                 true,
+                 2.0,
+                 cluster::TransportMode::kReliable,
+                 {{sim::FaultKind::kChannelDelaySpike, 0.35, 0.75, -1,
+                   (3.0 / 128 - 4.0 / 8192) / 2},
+                  {sim::FaultKind::kChannelDelaySpike, 1.1, 1.6, -1,
+                   (30.0 / 128 - 4.0 / 8192) / 2},
+                  {sim::FaultKind::kCoordinatorCrash, 1.8, 2.2, 0, 0.0},
+                  {sim::FaultKind::kNodeCrash, 0.5, 1.2, 7, 0.0}},
+                 true,
+                 1.0 / 128,
+                 1.0 / 8192,
+                 true}),
     [](const ::testing::TestParamInfo<Scenario>& info) {
       return std::string(info.param.name);
     });
